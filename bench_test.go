@@ -76,21 +76,18 @@ func BenchmarkFig4EERAdmission(b *testing.B) {
 	for _, s := range []int{1, 5000, 10_000} {
 		for _, n := range []int{10, 1000, 100_000} {
 			b.Run(fmt.Sprintf("eers=%d/s=%d", n, s), func(b *testing.B) {
-				store, segID, err := workload.EERPopulation(s, n)
+				cp, segID, err := workload.EERPopulation(s, n)
 				if err != nil {
 					b.Fatal(err)
 				}
 				id := reservation.ID{SrcAS: topology.MustIA(1, 77), Num: 1 << 24}
-				v := reservation.Version{Ver: 1, BwKbps: 1, ExpT: workload.Epoch + 16}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if err := store.AdmitEERVersion(&reservation.EER{ID: id}, []reservation.ID{segID}, v, workload.Epoch); err != nil {
+					if err := cp.SetupEER(id, segID, 1, workload.Epoch+16); err != nil {
 						b.Fatal(err)
 					}
-					if err := store.RemoveEERVersion(id, 1); err != nil {
-						b.Fatal(err)
-					}
+					cp.TeardownEER(id, segID)
 				}
 			})
 		}
@@ -542,7 +539,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 
 // BenchmarkCServThroughput: the §6.2 headline claims — a single core
 // processes >800 SegReqs/s and >2000 EEReqs/s. The numbers here are the
-// admission-and-store path; the full handler (with DRKey verification)
+// admission path (SegR admitter, CPlane EER ledger); the full handler (with DRKey verification)
 // is benchmarked in internal/cserv.
 func BenchmarkCServThroughput(b *testing.B) {
 	b.Run("segr", func(b *testing.B) {
@@ -560,15 +557,14 @@ func BenchmarkCServThroughput(b *testing.B) {
 		}
 	})
 	b.Run("eer", func(b *testing.B) {
-		store, segID, err := workload.EERPopulation(1, 0)
+		cp, segID, err := workload.EERPopulation(1, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		v := reservation.Version{Ver: 1, BwKbps: 1, ExpT: workload.Epoch + 16}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			id := reservation.ID{SrcAS: topology.MustIA(1, 77), Num: uint32(i + 1)}
-			if err := store.AdmitEERVersion(&reservation.EER{ID: id}, []reservation.ID{segID}, v, workload.Epoch); err != nil {
+			if err := cp.SetupEER(id, segID, 1, workload.Epoch+16); err != nil {
 				b.Fatal(err)
 			}
 		}

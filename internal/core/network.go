@@ -93,8 +93,8 @@ type Options struct {
 	// Telemetry creates one telemetry.Registry per AS and wires CServ,
 	// router, gateway, and flow monitor into it.
 	Telemetry bool
-	// CPlaneShards, when > 0 (power of two), backs every AS's CServ with a
-	// sharded CPlane admission engine instead of the single-store path.
+	// CPlaneShards is the shard count of every AS's CPlane, the engine that
+	// holds the CServ's admission state (a power of two; 0 selects 1).
 	CPlaneShards int
 	// CPlaneWorkers fans batched renewal waves across this many goroutines
 	// per AS (0 or 1 = inline). With more than one worker, call Close when

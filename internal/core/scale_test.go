@@ -81,10 +81,10 @@ func TestInternetScaleScenario(t *testing.T) {
 	// Global safety invariant: no egress interface over-allocated.
 	for _, iaKey := range topo.SortedIAs() {
 		as := topo.AS(iaKey)
-		adm := net.Node(iaKey).CServ.Admission()
+		cp := net.Node(iaKey).CServ.CPlane()
 		for _, ifID := range as.SortedIfIDs() {
 			capK := admission.DefaultSplit.EERShare(as.Interfaces[ifID].CapacityKbps())
-			if got := adm.AllocatedKbps(ifID); got > capK {
+			if got := cp.AllocatedKbps(ifID); got > capK {
 				t.Errorf("%s egress %d: allocated %d > capacity %d", iaKey, ifID, got, capK)
 			}
 		}
@@ -94,12 +94,11 @@ func TestInternetScaleScenario(t *testing.T) {
 	net.Clock.Advance(400e9)
 	net.Tick()
 	for _, iaKey := range topo.SortedIAs() {
-		segs, eers := net.Node(iaKey).CServ.Store().Counts()
-		if segs != 0 || eers != 0 {
-			t.Errorf("%s: %d SegRs, %d EERs after global expiry", iaKey, segs, eers)
+		if n := net.Node(iaKey).CServ.Store().Len(); n != 0 {
+			t.Errorf("%s: %d SegRs stored after global expiry", iaKey, n)
 		}
-		if n := net.Node(iaKey).CServ.Admission().Len(); n != 0 {
-			t.Errorf("%s: admission still tracks %d", iaKey, n)
+		if ct := net.Node(iaKey).CServ.CPlane().Counts(); ct.SegRs != 0 || ct.EERs != 0 {
+			t.Errorf("%s: admission still tracks %d SegRs, %d EERs", iaKey, ct.SegRs, ct.EERs)
 		}
 	}
 }

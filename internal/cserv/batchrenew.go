@@ -55,6 +55,14 @@ type EEBatchItem struct {
 	DstHost uint32
 }
 
+// Wire sizes of one batch item: its body encoding (ID, Ver, BwKbps, ExpT,
+// SrcHost, DstHost) and its mutable tail entry (accumulated grant, status),
+// which the response's per-item entry shares.
+const (
+	eeBatchItemLen = 12 + 2 + 8 + 4 + 4 + 4
+	eeBatchTailLen = 8 + 1
+)
+
 // EEBatchRenewReq renews a wave of EERs that share one SegR chain. SegIDs,
 // Splits, and Path have EESetupReq's meaning and apply to every item. Accums
 // and Status are AS-added mutable data (outside the source's MACs, like
@@ -120,7 +128,8 @@ func UnmarshalEEBatchRenewReq(data []byte) (*EEBatchRenewReq, error) {
 		r.Splits = append(r.Splits, d.u8())
 	}
 	r.Path = d.hops()
-	n := int(d.u32())
+	// Each item occupies its body encoding plus its mutable tail entry.
+	n := d.count(eeBatchItemLen + eeBatchTailLen)
 	if d.err == nil {
 		r.Items = make([]EEBatchItem, 0, n)
 	}
@@ -183,7 +192,7 @@ func UnmarshalEEBatchRenewResp(data []byte) (*EEBatchRenewResp, error) {
 	r.OK = d.u8() == 1
 	r.FailedAt = d.u8()
 	r.Reason = d.str()
-	n := int(d.u32())
+	n := d.count(eeBatchTailLen)
 	if d.err == nil {
 		r.Granted = make([]uint64, 0, n)
 		r.Status = make([]uint8, 0, n)
@@ -192,7 +201,7 @@ func UnmarshalEEBatchRenewResp(data []byte) (*EEBatchRenewResp, error) {
 		r.Granted = append(r.Granted, d.u64())
 		r.Status = append(r.Status, d.u8())
 	}
-	na := int(d.u32())
+	na := d.count(2)
 	for i := 0; i < na && d.err == nil; i++ {
 		m := int(d.u16())
 		if m == 0 {
@@ -287,6 +296,12 @@ func (s *Service) processEEBatchRenew(req *EEBatchRenewReq, idx int) (resp_ *EEB
 		segRs = append(segRs, sr)
 	}
 	transferHop := len(segRs) == 2 && segRs[0].SegType == segment.Up && segRs[1].SegType == segment.Core
+	// The store's view of the CPlane's charges follows on every exit below.
+	defer func() {
+		for _, seg := range localSegIDs {
+			s.publishEERDemand(seg)
+		}
+	}()
 	hop := req.Path[idx]
 
 	states := make([]eeBatchState, len(req.Items))
@@ -294,7 +309,7 @@ func (s *Service) processEEBatchRenew(req *EEBatchRenewReq, idx int) (resp_ *EEB
 	// the transfer-AS split. Single-segment renewals are deferred into one
 	// shard-major wave; two-segment records (transfer and core/down hops)
 	// and re-admissions run inline through the path ops.
-	waveEligible := s.cp != nil && len(localSegIDs) == 1
+	waveEligible := len(localSegIDs) == 1
 	var waveItems []EERRenewal
 	var waveIdx []int
 	if waveEligible {
@@ -314,29 +329,13 @@ func (s *Service) processEEBatchRenew(req *EEBatchRenewReq, idx int) (resp_ *EEB
 		}
 		// Idempotent retry dedup, before the throttle (a retry of the very
 		// renewal the throttle just admitted must not be throttled).
-		if s.cp != nil {
-			bw, ver, expT, ok := s.cp.LookupEER(it.ID, localSegIDs[0])
-			if ok && ver == it.Ver && expT == it.ExpT {
-				st.dup, st.grant = true, bw
-				s.metrics.DedupHits.Add(1)
-				continue
-			}
-			st.hadPrev, st.prevBw, st.prevVer, st.prevExpT = ok, bw, ver, expT
-		} else if existing, gerr := s.store.GetEER(it.ID); gerr == nil {
-			for _, v := range existing.Versions {
-				if v.Ver == it.Ver && v.ExpT == it.ExpT {
-					st.dup, st.grant = true, v.BwKbps
-					break
-				}
-			}
-			if st.dup {
-				s.metrics.DedupHits.Add(1)
-				continue
-			}
-			// Replaced-version capture, mirroring the CPlane branch so the
-			// transfer split releases identically in both modes.
-			st.prevBw, st.prevVer, st.prevExpT, st.hadPrev = s.store.LiveVersion(it.ID, now)
+		bw, ver, expT, ok := s.cp.LookupEER(it.ID, localSegIDs[0])
+		if ok && ver == it.Ver && expT == it.ExpT {
+			st.dup, st.grant = true, bw
+			s.metrics.DedupHits.Add(1)
+			continue
 		}
+		st.hadPrev, st.prevBw, st.prevVer, st.prevExpT = ok, bw, ver, expT
 		if !s.renewLim.Allow(it.ID, now) {
 			s.metrics.RenewThrottle.Add(1)
 			st.status = EEItemThrottled
@@ -345,15 +344,11 @@ func (s *Service) processEEBatchRenew(req *EEBatchRenewReq, idx int) (resp_ *EEB
 		grant := asked
 		if transferHop {
 			up, core := segRs[0], segRs[1]
-			upAvail, coreAvail := up.AvailableEERKbps(), core.AvailableEERKbps()
-			if s.cp != nil {
-				upAvail = s.cp.SegAvail(up.ID, now, it.ExpT)
-				coreAvail = s.cp.SegAvail(core.ID, now, it.ExpT)
-			}
+			upAvail := s.cp.SegAvail(up.ID, now, it.ExpT)
+			coreAvail := s.cp.SegAvail(core.ID, now, it.ExpT)
 			if st.hadPrev && st.prevExpT > now {
 				// The renewal replaces this EER's own live charge; credit it so
-				// the split sees the post-renewal headroom — identically in both
-				// admission modes (the store's versions share one budget).
+				// the split sees the post-renewal headroom.
 				upAvail += st.prevBw
 				coreAvail += st.prevBw
 			}
@@ -379,7 +374,7 @@ func (s *Service) processEEBatchRenew(req *EEBatchRenewReq, idx int) (resp_ *EEB
 				EER: it.ID, Seg: localSegIDs[0], BwKbps: grant, ExpT: it.ExpT, Ver: it.Ver,
 			})
 			waveIdx = append(waveIdx, i)
-		case s.cp != nil && st.hadPrev:
+		case st.hadPrev:
 			g, err := s.cp.RenewEERPath(it.ID, localSegIDs, grant, it.ExpT, it.Ver)
 			if err != nil {
 				s.releaseBatchTransfer(localSegIDs, st)
@@ -389,7 +384,7 @@ func (s *Service) processEEBatchRenew(req *EEBatchRenewReq, idx int) (resp_ *EEB
 				continue
 			}
 			st.grant, st.admitted = g, true
-		case s.cp != nil:
+		default:
 			// No record here (expired, or lost in a crash): re-admit so the
 			// flow re-promotes instead of staying demoted (§3.2).
 			if err := s.cp.SetupEERPath(it.ID, localSegIDs, grant, it.ExpT, it.Ver); err != nil {
@@ -397,20 +392,6 @@ func (s *Service) processEEBatchRenew(req *EEBatchRenewReq, idx int) (resp_ *EEB
 				s.metrics.AdmReject.Add(1)
 				s.metrics.AdmFallback.Add(1)
 				st.status = EEItemStale
-				continue
-			}
-			st.grant, st.admitted = grant, true
-		default:
-			eer := &reservation.EER{
-				ID: it.ID, In: hop.In, Eg: hop.Eg,
-				SrcHost: it.SrcHost, DstHost: it.DstHost,
-			}
-			v := reservation.Version{Ver: it.Ver, BwKbps: grant, ExpT: it.ExpT}
-			if err := s.store.AdmitEERVersion(eer, localSegIDs, v, now); err != nil {
-				s.releaseBatchTransfer(localSegIDs, st)
-				s.metrics.AdmReject.Add(1)
-				s.metrics.AdmFallback.Add(1)
-				st.status = EEItemRefused
 				continue
 			}
 			st.grant, st.admitted = grant, true
@@ -504,17 +485,7 @@ func (s *Service) processEEBatchRenew(req *EEBatchRenewReq, idx int) (resp_ *EEB
 		}
 		final := resp.Granted[i]
 		if final < st.grant {
-			if s.cp != nil {
-				s.cp.AdjustEERPath(it.ID, localSegIDs, final)
-			} else if err := s.store.AdjustEERVersion(it.ID, it.Ver, final); err != nil {
-				// Keep the wave alive; only this item dies.
-				if st.admitted && !st.dup {
-					s.rollbackBatchItem(it, localSegIDs, st)
-				}
-				resp.Status[i] = EEItemRefused
-				resp.Granted[i] = 0
-				continue
-			}
+			s.cp.AdjustEERPath(it.ID, localSegIDs, final)
 		}
 		res := &packet.ResInfo{
 			SrcAS:  it.ID.SrcAS,
@@ -564,8 +535,8 @@ func (s *Service) releaseBatchTransfer(localSegIDs []reservation.ID, st *eeBatch
 }
 
 // rollbackBatchItem undoes one admitted batch item: the CPlane reinstates the
-// previous version (or drops the record when this hop re-admitted a lost
-// EER); the store removes the added version.
+// previous version, or drops the record when this hop re-admitted a lost
+// EER.
 func (s *Service) rollbackBatchItem(it *EEBatchItem, localSegIDs []reservation.ID, st *eeBatchState) {
 	s.releaseBatchTransfer(localSegIDs, st)
 	if st.prevReleased {
@@ -574,15 +545,11 @@ func (s *Service) rollbackBatchItem(it *EEBatchItem, localSegIDs []reservation.I
 		s.transfer.Charge(localSegIDs[1], localSegIDs[0], st.prevBw, st.prevBw)
 		st.prevReleased = false
 	}
-	if s.cp != nil {
-		if st.hadPrev {
-			s.cp.RestoreEERPath(it.ID, localSegIDs, st.prevBw, st.prevExpT, st.prevVer)
-		} else {
-			s.cp.TeardownEERPath(it.ID, localSegIDs)
-		}
-		return
+	if st.hadPrev {
+		s.cp.RestoreEERPath(it.ID, localSegIDs, st.prevBw, st.prevExpT, st.prevVer)
+	} else {
+		s.cp.TeardownEERPath(it.ID, localSegIDs)
 	}
-	_ = s.store.RemoveEERVersion(it.ID, it.Ver)
 }
 
 // RenewEERBatch renews a wave of EERs that share one chain (same SegIDs,

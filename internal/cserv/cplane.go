@@ -1,9 +1,10 @@
 // cplane.go — CPlane, a sharded, batched control-plane engine for one AS.
 //
-// The single-lock Service is the faithful protocol implementation; CPlane is
-// the capacity answer for the million-flow regime the paper targets (§6: "a
-// single CServ instance can handle the renewal load of hundreds of thousands
-// of EERs"). It partitions the reservation state by a hash of the owning
+// CPlane holds every Service's admission state — the only EER/SegR
+// accounting on the live request path (see cplane_live.go) — and is sized
+// for the million-flow regime the paper targets (§6: "a single CServ
+// instance can handle the renewal load of hundreds of thousands of EERs").
+// It partitions the reservation state by a hash of the owning
 // SegR's ID into 2^k independent shards. Each shard owns
 //
 //   - an admission.Admitter over a clone of the AS whose link capacities are
@@ -95,11 +96,11 @@ type CPlane struct {
 	dedups  atomic.Uint64
 	stale   atomic.Uint64
 
-	// onExpire, when set, receives each transfer-AS record (one with two
-	// covering SegRs) that Tick expires, after the shard lock is released.
-	// The Service uses it to return the record's charge to the §4.7
-	// transfer-split accounting, which otherwise never learns that an EER
-	// lapsed without being renewed.
+	// onExpire, when set, receives each EER record that Tick expires, after
+	// the shard lock is released (seg2 is zero except at a transfer AS). The
+	// Service uses it to publish the lowered SegR demand and to return a
+	// transfer-AS record's charge to the §4.7 transfer-split accounting,
+	// which otherwise never learns that an EER lapsed without being renewed.
 	onExpire func(seg, seg2 reservation.ID, bwKbps uint64)
 
 	// Batch fan-out state. batchMu serializes RenewBatch callers (the pool
@@ -197,7 +198,7 @@ func NewCPlane(cfg CPlaneConfig) (*CPlane, error) {
 }
 
 // OnExpire registers the expiry callback invoked by Tick for each expired
-// transfer-AS record (see the field doc). Set it before the first Tick;
+// EER record (see the field doc). Set it before the first Tick;
 // it must not call back into the CPlane.
 func (c *CPlane) OnExpire(fn func(seg, seg2 reservation.ID, bwKbps uint64)) {
 	c.onExpire = fn
@@ -630,7 +631,7 @@ func (c *CPlane) Tick() int {
 				}
 				// seg2's ledger (possibly in another shard) self-cleans: an
 				// expired charge lies entirely in the past and Advance drops it.
-				if e.seg2 != (reservation.ID{}) && c.onExpire != nil {
+				if c.onExpire != nil {
 					expired = append(expired, e)
 				}
 				delete(sh.eers, id)

@@ -1,6 +1,6 @@
 // cplane_live.go — the CPlane surface consumed by the live request path
-// (service.go / segr.go / eer.go) when a Service runs in CPlane mode
-// (Config.CPlaneShards > 0).
+// (service.go / segr.go / eer.go / batchrenew.go), which keeps all of a
+// Service's admission state in its CPlane.
 //
 // The batch engine in cplane.go keeps its one-lock-per-op discipline; the
 // live path additionally needs
@@ -24,6 +24,7 @@
 package cserv
 
 import (
+	"slices"
 	"sort"
 
 	"colibri/internal/admission"
@@ -67,8 +68,8 @@ func (c *CPlane) SegAvail(seg reservation.ID, fromT, toT uint32) uint64 {
 }
 
 // SegDemandMax returns the maximum outstanding EER demand on the SegR from
-// now to the end of any admitted EER's lifetime — the CPlane-mode
-// replacement for the store's AllocatedEERKbps in the activation
+// now to the end of any admitted EER's lifetime — the value the Service
+// publishes into the store's AllocatedEERKbps view for the activation
 // over-allocation check. ok is false for unknown SegRs.
 func (c *CPlane) SegDemandMax(seg reservation.ID) (uint64, bool) {
 	now := c.clock()
@@ -493,10 +494,11 @@ func (c *CPlane) TeardownEERPath(eer reservation.ID, segs []reservation.ID) {
 // DropSegR force-removes a SegR (store cleanup of an expired or torn-down
 // segment) along with every EER record referencing it — including
 // transfer-AS records whose OTHER covering segment survives: a §4.7 EER
-// loses its reservation when either covering SegR goes. Locks are taken
-// strictly one at a time; iteration collects keys and sorts them so runs
-// are deterministic.
-func (c *CPlane) DropSegR(id reservation.ID) {
+// loses its reservation when either covering SegR goes. It returns those
+// surviving other segments, in ID order, whose demand dropped. Locks are
+// taken strictly one at a time; iteration collects keys and sorts them so
+// runs are deterministic.
+func (c *CPlane) DropSegR(id reservation.ID) (others []reservation.ID) {
 	type foreignDrop struct {
 		shard int
 		seg   reservation.ID
@@ -515,6 +517,13 @@ func (c *CPlane) DropSegR(id reservation.ID) {
 		sort.Slice(victims, func(i, j int) bool { return victims[i].Less(victims[j]) })
 		for _, eid := range victims {
 			e := sh.eers[eid]
+			if e.seg2 != (reservation.ID{}) {
+				other := e.seg
+				if other == id {
+					other = e.seg2
+				}
+				others = append(others, other)
+			}
 			if led := sh.ledgers[e.seg]; led != nil {
 				led.Teardown(eid)
 			}
@@ -550,4 +559,6 @@ func (c *CPlane) DropSegR(id reservation.ID) {
 	}
 	sh.mu.Unlock()
 	c.eerCount.Add(-int64(removed))
+	sort.Slice(others, func(i, j int) bool { return others[i].Less(others[j]) })
+	return slices.Compact(others)
 }

@@ -224,8 +224,7 @@ func (s *Service) processEESetup(req *EESetupReq, idx int, accum uint64) (resp_ 
 	now := s.clock()
 	// The covering SegRs decide where this AS's admission state lives: one
 	// segment normally, two at a transfer AS (§4.7). The CPlane keys its EER
-	// record by the primary (first local) covering segment, so the dedup
-	// below needs it before any store lookup.
+	// record by the primary (first local) covering segment.
 	covering := segsCovering(req, idx)
 	if len(covering) == 0 {
 		return fail("hop %d is not covered by any segment reservation", idx)
@@ -235,21 +234,13 @@ func (s *Service) processEESetup(req *EESetupReq, idx int, accum uint64) (resp_ 
 	// committed, so a retried request finds its own version here. Answer
 	// from it instead of admitting again — and decide before the renewal
 	// rate limiter, which must not throttle the retry of the very renewal
-	// it just admitted.
-	var dup bool
-	var dupKbps uint64
-	if s.cp != nil {
-		if bw, ver, expT, ok := s.cp.LookupEER(req.ID, req.SegIDs[covering[0]]); ok && ver == req.Ver && expT == req.ExpT {
-			dup, dupKbps = true, bw
-		}
-	} else if existing, gerr := s.store.GetEER(req.ID); gerr == nil {
-		for _, v := range existing.Versions {
-			if v.Ver == req.Ver && v.ExpT == req.ExpT {
-				dup, dupKbps = true, v.BwKbps
-				break
-			}
-		}
-	}
+	// it just admitted. Otherwise the live record is the one this request
+	// replaces (prev*): the transfer split credits it as freed headroom and
+	// returns its charge once the new version commits, and a downstream
+	// failure reinstates it.
+	bw, ver, expT, live := s.cp.LookupEER(req.ID, req.SegIDs[covering[0]])
+	dup := live && ver == req.Ver && expT == req.ExpT
+	prevBw, prevVer, prevExpT, hadPrev := bw, ver, expT, live && !dup
 	if dup {
 		s.metrics.DedupHits.Add(1)
 	}
@@ -282,24 +273,13 @@ func (s *Service) processEESetup(req *EESetupReq, idx int, accum uint64) (resp_ 
 		localSegIDs = append(localSegIDs, sr.ID)
 		segRs = append(segRs, sr)
 	}
-
-	// prev* capture the live record this request replaces: the transfer split
-	// credits it as freed headroom and returns its charge once the new version
-	// commits, and a downstream failure reinstates it (the CPlane holds one
-	// version per EER; the store's rollback instead removes the added version
-	// from the list). Store.LiveVersion mirrors CPlane.LookupEER so both
-	// admission modes account identically.
-	var prevBw uint64
-	var prevExpT uint32
-	var prevVer uint16
-	var hadPrev bool
-	if !dup {
-		if s.cp != nil {
-			prevBw, prevVer, prevExpT, hadPrev = s.cp.LookupEER(req.ID, localSegIDs[0])
-		} else {
-			prevBw, prevVer, prevExpT, hadPrev = s.store.LiveVersion(req.ID, now)
+	// Whatever this request ends up doing to the CPlane's charges, the
+	// store's view of them follows on every exit below.
+	defer func() {
+		for _, seg := range localSegIDs {
+			s.publishEERDemand(seg)
 		}
-	}
+	}()
 
 	// Transfer-AS proportional split between up- and core-SegR (§4.7). The
 	// split accumulates demand/grant per Admit; every exit path below must
@@ -310,24 +290,19 @@ func (s *Service) processEESetup(req *EESetupReq, idx int, accum uint64) (resp_ 
 	// the renewal-storm recovery at 10⁶ flows found every one of these).
 	grant := accum
 	if dup {
-		grant = dupKbps
+		grant = bw
 	}
 	var tAdmitted bool
 	var tCapped, tGrant uint64
 	var tUp, tCore reservation.ID
 	if !dup && len(segRs) == 2 && segRs[0].SegType == segment.Up && segRs[1].SegType == segment.Core {
 		up, core := segRs[0], segRs[1]
-		upAvail, coreAvail := up.AvailableEERKbps(), core.AvailableEERKbps()
-		if s.cp != nil {
-			upAvail = s.cp.SegAvail(up.ID, now, req.ExpT)
-			coreAvail = s.cp.SegAvail(core.ID, now, req.ExpT)
-		}
+		upAvail := s.cp.SegAvail(up.ID, now, req.ExpT)
+		coreAvail := s.cp.SegAvail(core.ID, now, req.ExpT)
 		if req.Renewal && hadPrev && prevExpT > now {
-			// The ledger (or store) still carries this EER's own live charge,
-			// which the renewal replaces — RenewEERPath removes it before
-			// probing, and the store's versions share one max-over-versions
-			// budget. Credit it so the split sees the true post-renewal
-			// headroom, identically in both admission modes.
+			// The ledger still carries this EER's own live charge, which the
+			// renewal replaces — RenewEERPath removes it before probing.
+			// Credit it so the split sees the true post-renewal headroom.
 			upAvail += prevBw
 			coreAvail += prevBw
 		}
@@ -366,46 +341,27 @@ func (s *Service) processEESetup(req *EESetupReq, idx int, accum uint64) (resp_ 
 
 	// Admit (reserve) the requested bandwidth against the local SegRs; the
 	// backward pass adjusts it down to the path-wide minimum.
-	eer := &reservation.EER{
-		ID:      req.ID,
-		In:      hop.In,
-		Eg:      hop.Eg,
-		SrcHost: req.SrcHost,
-		DstHost: req.DstHost,
-	}
-	v := reservation.Version{Ver: req.Ver, BwKbps: grant, ExpT: req.ExpT}
 	if !dup {
-		if s.cp != nil {
-			var aerr error
-			if req.Renewal && hadPrev {
-				var g uint64
-				if g, aerr = s.cp.RenewEERPath(req.ID, localSegIDs, grant, req.ExpT, req.Ver); aerr == nil {
-					// Renewals may legally shrink to the free bandwidth (§4.2).
-					grant = g
-				}
-			} else {
-				// A fresh setup — or a renewal of an EER this AS no longer
-				// holds (version expired, or state lost in a crash): admit it
-				// anew so the flow re-promotes instead of staying demoted.
-				aerr = s.cp.SetupEERPath(req.ID, localSegIDs, grant, req.ExpT, req.Ver)
-			}
-			if aerr != nil {
-				releaseT()
-				s.metrics.AdmReject.Add(1)
-				if req.Renewal {
-					s.metrics.AdmFallback.Add(1)
-				}
-				return fail("admission: %v", aerr)
+		var err error
+		if req.Renewal && hadPrev {
+			var g uint64
+			if g, err = s.cp.RenewEERPath(req.ID, localSegIDs, grant, req.ExpT, req.Ver); err == nil {
+				// Renewals may legally shrink to the free bandwidth (§4.2).
+				grant = g
 			}
 		} else {
-			if err := s.store.AdmitEERVersion(eer, localSegIDs, v, now); err != nil {
-				releaseT()
-				s.metrics.AdmReject.Add(1)
-				if req.Renewal {
-					s.metrics.AdmFallback.Add(1)
-				}
-				return fail("admission: %v", err)
+			// A fresh setup — or a renewal of an EER this AS no longer holds
+			// (version expired, or state lost in a crash): admit it anew so
+			// the flow re-promotes instead of staying demoted.
+			err = s.cp.SetupEERPath(req.ID, localSegIDs, grant, req.ExpT, req.Ver)
+		}
+		if err != nil {
+			releaseT()
+			s.metrics.AdmReject.Add(1)
+			if req.Renewal {
+				s.metrics.AdmFallback.Add(1)
 			}
+			return fail("admission: %v", err)
 		}
 	}
 	rollback := func() {
@@ -415,15 +371,11 @@ func (s *Service) processEESetup(req *EESetupReq, idx int, accum uint64) (resp_ 
 			return
 		}
 		releaseT()
-		if s.cp != nil {
-			if req.Renewal && hadPrev {
-				s.cp.RestoreEERPath(req.ID, localSegIDs, prevBw, prevExpT, prevVer)
-			} else {
-				s.cp.TeardownEERPath(req.ID, localSegIDs)
-			}
-			return
+		if req.Renewal && hadPrev {
+			s.cp.RestoreEERPath(req.ID, localSegIDs, prevBw, prevExpT, prevVer)
+		} else {
+			s.cp.TeardownEERPath(req.ID, localSegIDs)
 		}
-		_ = s.store.RemoveEERVersion(req.ID, req.Ver)
 	}
 
 	var resp *EESetupResp
@@ -451,12 +403,7 @@ func (s *Service) processEESetup(req *EESetupReq, idx int, accum uint64) (resp_ 
 
 	final := resp.FinalKbps
 	if final < grant {
-		if s.cp != nil {
-			s.cp.AdjustEERPath(req.ID, localSegIDs, final)
-		} else if err := s.store.AdjustEERVersion(req.ID, req.Ver, final); err != nil {
-			rollback()
-			return fail("adjust: %v", err)
-		}
+		s.cp.AdjustEERPath(req.ID, localSegIDs, final)
 	}
 	// Compute σ_i (Eq. 4) over the final reservation parameters and seal it
 	// for the source AS (Eq. 5).

@@ -3,10 +3,12 @@ package cserv
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 
 	"colibri/internal/packet"
 	"colibri/internal/reservation"
+	"colibri/internal/segment"
 	"colibri/internal/topology"
 )
 
@@ -21,57 +23,70 @@ func cpFabric(t testing.TB, shards int, mutate func(ia topology.IA, cfg *Config)
 }
 
 // TestCPlaneLiveDifferential replays one operation sequence — EER setups up
-// to oversubscription, then constant-bandwidth renewal waves — against a
-// classic single-store fabric and a CPlane-backed one, and demands identical
-// per-operation decisions: same grants, same refusals. The legacy store
-// charges the max over versions (a same-bandwidth renewal has delta zero)
-// and the CPlane replaces the version, so the two models must agree on this
-// sequence exactly.
+// to oversubscription, then constant-bandwidth renewal waves — against the
+// live CPlane-backed fabric and against storeOracle, an independent model
+// of per-hop admission over plain per-SegR counters, and demands identical
+// per-operation decisions: same grants, same refusals. The model charges
+// the max over versions (a same-bandwidth renewal has delta zero) and the
+// CPlane replaces the version, so the two must agree on this sequence
+// exactly.
 func TestCPlaneLiveDifferential(t *testing.T) {
-	legacy := twoISDFabric(t, nil)
-	cp := cpFabric(t, 1, nil)
-	legacy.setupAllSegRs(t, 50_000)
-	cp.setupAllSegRs(t, 50_000)
+	f := cpFabric(t, 1, nil)
+	up, core, down := f.setupAllSegRs(t, 50_000)
+	oracle := newStoreOracle(f, up, core, down)
+	src := f.services[ia(1, 11)]
 
 	type outcome struct {
 		ok bool
 		bw uint64
 	}
-	run := func(f *fabric) []outcome {
-		src := f.services[ia(1, 11)]
-		f.clock.Store(t0)
-		var log []outcome
-		var grants []*EERGrant
-		// Ten 8 Mbps setups against 50 Mbps SegRs: six fit, four are refused.
-		for i := uint32(0); i < 10; i++ {
-			g, err := src.RequestEER(100+i, 200+i, ia(2, 11), 8_000)
-			log = append(log, outcome{err == nil, grantBw(g)})
+	var live, model []outcome
+	// Ten 8 Mbps setups against 50 Mbps SegRs: six fit, four are refused.
+	var grants []*EERGrant
+	var flows []int
+	var vers []reservation.Version
+	for i := uint32(0); i < 10; i++ {
+		g, err := src.RequestEER(100+i, 200+i, ia(2, 11), 8_000)
+		live = append(live, outcome{err == nil, grantBw(g)})
+		if err == nil {
+			grants = append(grants, g)
+		}
+		v := reservation.Version{Ver: 1, BwKbps: 8_000, ExpT: f.now() + reservation.EERLifetimeSeconds}
+		bw, ok := oracle.request(int(i), v, false)
+		model = append(model, outcome{ok, bw})
+		if ok {
+			v.BwKbps = bw
+			flows, vers = append(flows, int(i)), append(vers, v)
+		}
+	}
+	// Three keep-alive waves at the same bandwidth, one second apart (the
+	// per-EER renewal throttle allows one per second).
+	for wave := uint32(1); wave <= 3; wave++ {
+		f.clock.Store(t0 + wave)
+		for i, g := range grants {
+			ng, err := src.RenewEER(g, uint64(g.Res.BwKbps))
+			live = append(live, outcome{err == nil, grantBw(ng)})
 			if err == nil {
-				grants = append(grants, g)
+				grants[i] = ng
 			}
 		}
-		// Three keep-alive waves at the same bandwidth, one second apart
-		// (the per-EER renewal throttle allows one per second).
-		for wave := 0; wave < 3; wave++ {
-			f.clock.Store(t0 + 1 + uint32(wave))
-			for i, g := range grants {
-				ng, err := src.RenewEER(g, uint64(g.Res.BwKbps))
-				log = append(log, outcome{err == nil, grantBw(ng)})
-				if err == nil {
-					grants[i] = ng
-				}
+		for i, flow := range flows {
+			v := reservation.Version{Ver: vers[i].Ver + 1, BwKbps: vers[i].BwKbps, ExpT: f.now() + reservation.EERLifetimeSeconds}
+			bw, ok := oracle.request(flow, v, true)
+			model = append(model, outcome{ok, bw})
+			if ok {
+				v.BwKbps = bw
+				vers[i] = v
 			}
 		}
-		return log
 	}
 
-	lg, cg := run(legacy), run(cp)
-	if len(lg) != len(cg) {
-		t.Fatalf("operation counts diverge: legacy %d, cplane %d", len(lg), len(cg))
+	if len(live) != len(model) {
+		t.Fatalf("operation counts diverge: live %d, model %d", len(live), len(model))
 	}
-	for i := range lg {
-		if lg[i] != cg[i] {
-			t.Errorf("op %d: legacy %+v, cplane %+v", i, lg[i], cg[i])
+	for i := range live {
+		if live[i] != model[i] {
+			t.Errorf("op %d: live %+v, model %+v", i, live[i], model[i])
 		}
 	}
 	// The workload must have exercised all three decision kinds: full grants
@@ -83,7 +98,7 @@ func TestCPlaneLiveDifferential(t *testing.T) {
 	// capped to the remaining 2 Mbps (§4.2) and that flow keeps renewing at
 	// the shrunk bandwidth in the later waves — 3 partials in 24 admissions.
 	admitted, partial := 0, 0
-	for _, o := range lg {
+	for _, o := range live {
 		if o.ok {
 			admitted++
 		}
@@ -92,7 +107,7 @@ func TestCPlaneLiveDifferential(t *testing.T) {
 		}
 	}
 	if admitted != 24 || partial != 3 {
-		t.Errorf("admitted %d of %d operations (%d partial), want 24 (3 partial)", admitted, len(lg), partial)
+		t.Errorf("admitted %d of %d operations (%d partial), want 24 (3 partial)", admitted, len(live), partial)
 	}
 }
 
@@ -132,6 +147,164 @@ func TestCPlaneLiveNoOverAdmission(t *testing.T) {
 					iaKey, segr.ID, m, segr.Active.BwKbps)
 			}
 		}
+	}
+}
+
+// TestAllocatedEERKbpsMirrorsCPlane checks that the store's read-only
+// AllocatedEERKbps view equals the CPlane's SegDemandMax at every on-path
+// AS after each kind of EER operation: a setup, a backward-pass adjust, a
+// renewal, a rollback after a downstream refusal, and an expiry Tick.
+func TestAllocatedEERKbpsMirrorsCPlane(t *testing.T) {
+	f := cpFabric(t, 1, func(iaKey topology.IA, cfg *Config) {
+		if iaKey == ia(2, 11) {
+			cfg.DstApprove = func(req *EESetupReq) bool { return req.DstHost != 99 }
+		}
+	})
+	// The down SegR is the bottleneck, so a renewal beyond its free
+	// bandwidth is shrunk at the last hops and adjusted upstream.
+	var segrs []*reservation.SegR
+	for _, sp := range []struct {
+		owner topology.IA
+		seg   *segment.Segment
+		kbps  uint64
+	}{
+		{ia(1, 11), f.reg.UpSegments(ia(1, 11))[0], 50_000},
+		{ia(1, 1), f.reg.CoreSegments(ia(1, 1), ia(2, 1))[0], 50_000},
+		{ia(2, 1), f.reg.DownSegments(ia(2, 11))[0], 20_000},
+	} {
+		sr, err := f.services[sp.owner].SetupSegment(sp.seg, 0, sp.kbps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		segrs = append(segrs, sr)
+	}
+	check := func(step string, wantUp uint64) {
+		t.Helper()
+		for _, iaKey := range f.topo.SortedIAs() {
+			svc := f.services[iaKey]
+			for _, sr := range segrs {
+				m, ok := svc.CPlane().SegDemandMax(sr.ID)
+				if !ok {
+					continue // not on this SegR's segment
+				}
+				local, err := svc.Store().GetSegR(sr.ID)
+				if err != nil {
+					t.Fatalf("%s: AS %s lost SegR %s: %v", step, iaKey, sr.ID, err)
+				}
+				if local.AllocatedEERKbps != m {
+					t.Errorf("%s: AS %s SegR %s: store view %d kbps, CPlane demand %d kbps",
+						step, iaKey, sr.ID, local.AllocatedEERKbps, m)
+				}
+			}
+		}
+		// Pin the value itself at one transit AS, so a view stuck at zero
+		// cannot pass.
+		if m, _ := f.services[ia(1, 2)].CPlane().SegDemandMax(segrs[0].ID); m != wantUp {
+			t.Fatalf("%s: up SegR carries %d kbps at 1-2, want %d", step, m, wantUp)
+		}
+	}
+
+	src := f.services[ia(1, 11)]
+	a, err := src.RequestEER(1, 2, ia(2, 11), 8_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("setup", 8_000)
+	b, err := src.RequestEER(3, 4, ia(2, 11), 8_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 16 Mbps is free upstream but only 12 on the down SegR: the last hops
+	// grant 12 and the backward pass adjusts the upstream charges down.
+	f.clock.Store(t0 + 1)
+	if a, err = src.RenewEER(a, 16_000); err != nil {
+		t.Fatal(err)
+	}
+	if a.Res.BwKbps != 12_000 {
+		t.Fatalf("bottlenecked renewal granted %d kbps, want 12000", a.Res.BwKbps)
+	}
+	check("adjust", 20_000)
+	f.clock.Store(t0 + 2)
+	if _, err = src.RenewEER(b, 6_000); err != nil {
+		t.Fatal(err)
+	}
+	check("renewal", 18_000)
+	if _, err := src.RequestEER(5, 99, ia(2, 11), 1_000); err == nil {
+		t.Fatal("vetoed destination accepted")
+	}
+	check("rollback", 18_000)
+	f.clock.Store(t0 + 2 + reservation.EERLifetimeSeconds)
+	for _, iaKey := range f.topo.SortedIAs() {
+		f.services[iaKey].Tick()
+	}
+	check("expiry", 0)
+}
+
+// TestAllocatedEERKbpsConcurrent drives EER setups and renewals from several
+// goroutines at once, with housekeeping ticking alongside, through a
+// two-shard fabric. Under -race it checks the store's AllocatedEERKbps view
+// is written and read only under synchronization; once quiescent, the view
+// must equal the CPlane's demand everywhere and account every live grant.
+func TestAllocatedEERKbpsConcurrent(t *testing.T) {
+	f := cpFabric(t, 2, nil)
+	up, core, down := f.setupAllSegRs(t, 100_000)
+	src := f.services[ia(1, 11)]
+	const workers, perWorker = 4, 4
+	granted := make([]uint64, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				host := uint32(100 + w*perWorker + i)
+				g, err := src.RequestEER(host, host, ia(2, 11), 2_000)
+				if err != nil {
+					t.Errorf("worker %d setup %d: %v", w, i, err)
+					return
+				}
+				if g, err = src.RenewEER(g, 3_000); err != nil {
+					t.Errorf("worker %d renewal %d: %v", w, i, err)
+					return
+				}
+				granted[w] += uint64(g.Res.BwKbps)
+			}
+		}(w)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 20; i++ {
+			for _, iaKey := range f.topo.SortedIAs() {
+				f.services[iaKey].Tick()
+			}
+		}
+	}()
+	wg.Wait()
+
+	var total uint64
+	for _, g := range granted {
+		total += g
+	}
+	for _, iaKey := range f.topo.SortedIAs() {
+		svc := f.services[iaKey]
+		for _, sr := range []*reservation.SegR{up, core, down} {
+			m, ok := svc.CPlane().SegDemandMax(sr.ID)
+			if !ok {
+				continue
+			}
+			local, err := svc.Store().GetSegR(sr.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if local.AllocatedEERKbps != m {
+				t.Errorf("AS %s SegR %s: store view %d kbps, CPlane demand %d kbps",
+					iaKey, sr.ID, local.AllocatedEERKbps, m)
+			}
+		}
+	}
+	if m, _ := f.services[ia(1, 2)].CPlane().SegDemandMax(up.ID); m != total {
+		t.Errorf("up SegR carries %d kbps at 1-2, want the %d kbps granted", m, total)
 	}
 }
 

@@ -445,6 +445,19 @@ func (d *decoder) u64() uint64 {
 	return v
 }
 
+// count reads a u32 list length and rejects it as truncated when the
+// remaining input cannot hold that many items of at least itemSize bytes
+// each, so a forged length never sizes an allocation beyond the message
+// actually received.
+func (d *decoder) count(itemSize int) int {
+	n := int(d.u32())
+	if d.err == nil && n > len(d.buf)/itemSize {
+		d.err = ErrTruncated
+		return 0
+	}
+	return n
+}
+
 func (d *decoder) bytes(dst []byte) {
 	if !d.need(len(dst)) {
 		return

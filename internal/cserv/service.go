@@ -101,23 +101,16 @@ type Config struct {
 	// RateLimit is the per-source-AS control-request budget per second
 	// (default 1000; §5.3 "per-AS rate limiting").
 	RateLimit int
-	// AdmissionImpl selects the SegR admission implementation:
-	// admission.ImplMemoized (default), admission.ImplNaive, or
-	// admission.ImplRestree. All three are validated differentially
-	// (FuzzAdmissionEquivalence); restree additionally time-bounds
-	// reservations and expires them without an explicit release.
-	AdmissionImpl string
-	// CPlaneShards, when > 0, routes the live request path's admission state
-	// through a sharded CPlane engine instead of the single-lock Admitter and
-	// the store's EER accounting: SegR admission goes to per-shard admitters,
-	// EER demand to per-SegR restree ledgers, and renewal waves to the
-	// shard-major RenewBatch. The store keeps the SegR protocol state
-	// (versions, tokens, idempotency keys) in both modes. Must be a power of
-	// two; 0 keeps the classic single-store path.
+	// CPlaneShards is the shard count of the CPlane engine that holds this
+	// AS's admission state: SegR admission runs on per-shard admitters, EER
+	// demand on per-SegR restree ledgers, and renewal waves through the
+	// shard-major RenewBatch. The store keeps only SegR protocol state
+	// (versions, tokens, idempotency keys). Must be a power of two; 0
+	// selects 1.
 	CPlaneShards int
 	// CPlaneWorkers fans RenewBatch shard buckets across this many goroutines
-	// (0 or 1 = inline). Only meaningful with CPlaneShards > 0; call Close on
-	// the Service when using more than one worker.
+	// (0 or 1 = inline); call Close on the Service when using more than one
+	// worker.
 	CPlaneWorkers int
 	// Telemetry is the AS-wide registry the service's metrics and lifecycle
 	// tracer attach to; a private registry is created when nil.
@@ -132,12 +125,15 @@ type Service struct {
 	split admission.TrafficSplit
 
 	store    *reservation.Store
-	adm      admission.Admitter
 	transfer *admission.TransferSplit
-	// cp is the sharded control-plane engine; nil in classic mode. When set,
-	// SegR admission and EER demand accounting run through it (see
-	// cplane_live.go) and the store carries only protocol state.
+	// cp is the sharded control-plane engine: SegR admission and EER demand
+	// accounting run through it (see cplane_live.go), and the store carries
+	// only protocol state.
 	cp *CPlane
+	// publishMu serializes publishEERDemand's read-then-write, so that
+	// concurrent publishes cannot write in the opposite order of their
+	// reads and leave an older, lower demand in the store's view.
+	publishMu sync.Mutex
 
 	secret  cryptoutil.Key
 	engine  *drkey.Engine
@@ -171,23 +167,15 @@ func New(cfg Config) *Service {
 	if cfg.Split == (admission.TrafficSplit{}) {
 		cfg.Split = admission.DefaultSplit
 	}
-	adm, err := admission.NewAdmitter(cfg.AdmissionImpl, cfg.AS, cfg.Split, cfg.Clock)
+	cp, err := NewCPlane(CPlaneConfig{
+		AS:      cfg.AS,
+		Split:   cfg.Split,
+		Shards:  cfg.CPlaneShards,
+		Clock:   cfg.Clock,
+		Workers: cfg.CPlaneWorkers,
+	})
 	if err != nil {
 		panic(err)
-	}
-	var cp *CPlane
-	if cfg.CPlaneShards > 0 {
-		cp, err = NewCPlane(CPlaneConfig{
-			AS:            cfg.AS,
-			Split:         cfg.Split,
-			Shards:        cfg.CPlaneShards,
-			AdmissionImpl: cfg.AdmissionImpl,
-			Clock:         cfg.Clock,
-			Workers:       cfg.CPlaneWorkers,
-		})
-		if err != nil {
-			panic(err)
-		}
 	}
 	s := &Service{
 		ia:         cfg.AS.IA,
@@ -195,7 +183,6 @@ func New(cfg Config) *Service {
 		topo:       cfg.Topo,
 		split:      cfg.Split,
 		store:      reservation.NewStore(cfg.AS.IA),
-		adm:        adm,
 		cp:         cp,
 		transfer:   admission.NewTransferSplit(),
 		secret:     cfg.Secret,
@@ -211,25 +198,29 @@ func New(cfg Config) *Service {
 	}
 	s.macPool.New = func() any { return cryptoutil.MustCBCMAC(s.secret) }
 	s.metrics.init("cserv "+cfg.AS.IA.String(), cfg.Telemetry)
-	if cp != nil {
-		// An EER that lapses without being renewed must return its charge to
-		// the §4.7 transfer-split accounting, or dead demand accumulates until
-		// the fair-share cap refuses every re-admission (the renewal-storm
-		// recovery path found this at 10⁶ flows). Only up→core records ever
-		// admitted through the split; the core+down pair at the far transfer
-		// AS carries no split charge.
-		cp.OnExpire(func(seg, seg2 reservation.ID, bwKbps uint64) {
-			up, err := s.store.GetSegR(seg)
-			if err != nil || up.SegType != segment.Up {
-				return
-			}
-			core, err := s.store.GetSegR(seg2)
-			if err != nil || core.SegType != segment.Core {
-				return
-			}
-			s.transfer.Release(core.ID, up.ID, bwKbps, bwKbps)
-		})
-	}
+	// An expired EER's charge leaves the CPlane's ledgers; publish the new
+	// demand into the store's view, and return a transfer-AS record's charge
+	// to the §4.7 transfer-split accounting, or dead demand accumulates until
+	// the fair-share cap refuses every re-admission (the renewal-storm
+	// recovery path found this at 10⁶ flows). Only up→core records ever
+	// admitted through the split; the core+down pair at the far transfer AS
+	// carries no split charge.
+	cp.OnExpire(func(seg, seg2 reservation.ID, bwKbps uint64) {
+		s.publishEERDemand(seg)
+		if seg2.IsZero() {
+			return
+		}
+		s.publishEERDemand(seg2)
+		up, err := s.store.GetSegR(seg)
+		if err != nil || up.SegType != segment.Up {
+			return
+		}
+		core, err := s.store.GetSegR(seg2)
+		if err != nil || core.SegType != segment.Core {
+			return
+		}
+		s.transfer.Release(core.ID, up.ID, bwKbps, bwKbps)
+	})
 	return s
 }
 
@@ -240,51 +231,24 @@ func (s *Service) IA() topology.IA { return s.ia }
 // the same AS read it; tests inspect it).
 func (s *Service) Store() *reservation.Store { return s.store }
 
-// Admission exposes the admission state (for metrics and tests).
-func (s *Service) Admission() admission.Admitter { return s.adm }
-
-// CPlane exposes the sharded control-plane engine; nil in classic mode.
+// CPlane exposes the sharded control-plane engine holding the AS's
+// admission state.
 func (s *Service) CPlane() *CPlane { return s.cp }
 
-// Close releases background resources (the CPlane's batch workers). Safe to
-// call on classic-mode services; no request may be in flight.
-func (s *Service) Close() {
-	if s.cp != nil {
-		s.cp.Close()
-	}
-}
+// Close releases background resources (the CPlane's batch workers); no
+// request may be in flight.
+func (s *Service) Close() { s.cp.Close() }
 
-// admitSegR dispatches SegR admission to the CPlane or the single admitter.
-func (s *Service) admitSegR(req admission.Request) (uint64, error) {
-	if s.cp != nil {
-		return s.cp.AddSegR(req)
-	}
-	return s.adm.AdmitSegR(req)
-}
-
-// renewSegR dispatches a SegR renewal, returning the snapshot-restoring undo.
-func (s *Service) renewSegR(req admission.Request) (uint64, func(), error) {
-	if s.cp != nil {
-		return s.cp.RenewSegRWithUndo(req)
-	}
-	return s.adm.RenewSegRWithUndo(req)
-}
-
-// adjustSegR dispatches the backward-pass grant shrink.
-func (s *Service) adjustSegR(id reservation.ID, finalKbps uint64) error {
-	if s.cp != nil {
-		return s.cp.AdjustSegR(id, finalKbps)
-	}
-	return s.adm.AdjustGrant(id, finalKbps)
-}
-
-// abortSegR dispatches the rollback of a fresh (non-renewal) SegR admission.
-func (s *Service) abortSegR(id reservation.ID) {
-	if s.cp != nil {
-		s.cp.AbortSegR(id)
-		return
-	}
-	s.adm.Release(id)
+// publishEERDemand copies the CPlane's current EER demand on a SegR into the
+// store's read-only AllocatedEERKbps view and returns it. The CPlane stays
+// the only writer of EER demand; the view serves the activation
+// over-allocation guard and external audits.
+func (s *Service) publishEERDemand(seg reservation.ID) uint64 {
+	s.publishMu.Lock()
+	defer s.publishMu.Unlock()
+	m, _ := s.cp.SegDemandMax(seg)
+	s.store.SetAllocatedEERKbps(seg, m)
+	return m
 }
 
 // Secret returns the AS data-plane secret shared with the border routers.
@@ -450,28 +414,24 @@ func (s *Service) hopAuth(res *packet.ResInfo, eer *packet.EERInfo, hf packet.Ho
 	return cryptoutil.Key(full)
 }
 
-// Tick advances housekeeping: expiry cleanup in the store, releasing
-// admission aggregates of removed SegRs. Call it periodically (once per
-// second suffices).
+// Tick advances housekeeping: expiry cleanup in the store, dropping the
+// admission state of removed SegRs, and expiring lapsed EERs in the CPlane.
+// Call it periodically (once per second suffices).
 func (s *Service) Tick() {
 	now := s.clock()
-	removed := s.store.Cleanup(now)
-	for _, id := range removed {
-		if s.cp != nil {
-			// DropSegR also tears down the EER charges riding on the SegR —
-			// including transfer-AS records whose other segment survives.
-			s.cp.DropSegR(id)
-		} else {
-			s.adm.Release(id)
+	for _, id := range s.store.Cleanup(now) {
+		// DropSegR also tears down the EER charges riding on the SegR —
+		// including transfer-AS records whose other segment survives, whose
+		// published demand must follow.
+		for _, other := range s.cp.DropSegR(id) {
+			s.publishEERDemand(other)
 		}
 		s.transfer.DropCore(id)
 		if s.dir != nil {
 			s.dir.Unregister(id)
 		}
 	}
-	if s.cp != nil {
-		s.cp.Tick()
-	}
+	s.cp.Tick()
 	if s.dir != nil {
 		s.dir.Expire(now)
 	}

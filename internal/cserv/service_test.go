@@ -170,9 +170,11 @@ func TestSegmentSetupMinRefused(t *testing.T) {
 		t.Fatal("over-capacity minimum granted")
 	}
 	for _, h := range seg.Hops {
-		segs, _ := f.services[h.IA].Store().Counts()
-		if segs != 0 {
+		if segs := f.services[h.IA].Store().Len(); segs != 0 {
 			t.Errorf("AS %s kept %d temporary SegRs after failure", h.IA, segs)
+		}
+		if segs := f.services[h.IA].CPlane().Counts().SegRs; segs != 0 {
+			t.Errorf("AS %s kept admission state for %d SegRs after failure", h.IA, segs)
 		}
 	}
 }
@@ -232,12 +234,31 @@ func TestEERSetupEndToEnd(t *testing.T) {
 			t.Errorf("hop %d (%s): σ mismatch", i, ph.IA)
 		}
 	}
-	// Every on-path AS accounts the EER against its SegRs.
-	for _, ph := range grant.PathHops {
-		if _, err := f.services[ph.IA].Store().GetEER(grant.ID); err != nil {
-			t.Errorf("AS %s has no EER record: %v", ph.IA, err)
+	// Every on-path AS's CPlane holds the EER record under its primary
+	// covering SegR and charges it to every covering SegR.
+	for idx, ph := range grant.PathHops {
+		cp := f.services[ph.IA].CPlane()
+		segs := eerSegsAt(grant, idx)
+		bw, ver, _, ok := cp.LookupEER(grant.ID, segs[0])
+		if !ok || bw != 8_000 || ver != 1 {
+			t.Errorf("AS %s EER record: bw=%d ver=%d found=%v", ph.IA, bw, ver, ok)
+		}
+		for _, seg := range segs {
+			if m, _ := cp.SegDemandMax(seg); m != 8_000 {
+				t.Errorf("AS %s charges %d kbps to SegR %s, want 8000", ph.IA, m, seg)
+			}
 		}
 	}
+}
+
+// eerSegsAt returns the SegRs covering hop idx of the grant's path, primary
+// (record-owning) segment first — the IDs the handlers admit under.
+func eerSegsAt(g *EERGrant, idx int) []reservation.ID {
+	var segs []reservation.ID
+	for _, k := range coveringSegs(len(g.SegIDs), g.Splits, len(g.PathHops), idx) {
+		segs = append(segs, g.SegIDs[k])
+	}
+	return segs
 }
 
 func TestEERRenewalVersions(t *testing.T) {
@@ -255,17 +276,34 @@ func TestEERRenewalVersions(t *testing.T) {
 	if g2.Res.Ver != 2 || g2.Res.BwKbps != 12_000 {
 		t.Fatalf("renewed grant: %+v", g2.Res)
 	}
-	// Both versions coexist at a transit AS; budget is the max, not sum.
-	e, err := f.services[ia(1, 2)].Store().GetEER(g1.ID)
+	// A renewal replaces the charge of the version it renews: the transit
+	// AS charges the latest version, never the sum of both.
+	transit := f.services[ia(1, 2)]
+	up := g1.SegIDs[0]
+	checkCharge := func(wantBw uint64, wantVer uint16) {
+		t.Helper()
+		bw, ver, _, ok := transit.CPlane().LookupEER(g1.ID, up)
+		if !ok || bw != wantBw || ver != wantVer {
+			t.Fatalf("transit record: bw=%d ver=%d found=%v, want %d/v%d", bw, ver, ok, wantBw, wantVer)
+		}
+		if m, _ := transit.CPlane().SegDemandMax(up); m != wantBw {
+			t.Fatalf("transit charges %d kbps to the up SegR, want %d", m, wantBw)
+		}
+	}
+	checkCharge(12_000, 2)
+	// Renewing down to 8 Mbps lowers the charge at once, although version 2
+	// (12 Mbps) stays valid for the data plane until it expires (§4.8): the
+	// CPlane charges an EER's latest version, not the maximum over its
+	// valid versions.
+	f.clock.Store(t0 + 1) // the per-EER throttle allows one renewal per second
+	g3, err := src.RenewEER(g2, 8_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(e.Versions) != 2 {
-		t.Fatalf("transit AS has %d versions", len(e.Versions))
+	if g3.Res.Ver != 3 || g3.Res.BwKbps != 8_000 {
+		t.Fatalf("downsized grant: %+v", g3.Res)
 	}
-	if got := e.MaxBwKbps(f.now()); got != 12_000 {
-		t.Errorf("MaxBwKbps = %d", got)
-	}
+	checkCharge(8_000, 3)
 }
 
 func TestEERInsufficientSegRRolledBack(t *testing.T) {
@@ -294,8 +332,7 @@ func TestEERInsufficientSegRRolledBack(t *testing.T) {
 	}
 	// No residual versions of the failed EER linger at the early hops.
 	for _, iaKey := range []topology.IA{ia(1, 11), ia(1, 2), ia(1, 3)} {
-		_, eers := f.services[iaKey].Store().Counts()
-		if eers > 1 {
+		if eers := f.services[iaKey].CPlane().Counts().EERs; eers > 1 {
 			t.Errorf("AS %s has %d EER records after rollback", iaKey, eers)
 		}
 	}
@@ -396,26 +433,30 @@ func TestTickReleasesExpired(t *testing.T) {
 		t.Fatal(err)
 	}
 	transit := f.services[ia(1, 2)]
-	r, _ := transit.Store().GetSegR(up.ID)
-	if r.AllocatedEERKbps != 8_000 {
-		t.Fatalf("allocated = %d", r.AllocatedEERKbps)
+	cp := transit.CPlane()
+	if m, _ := cp.SegDemandMax(up.ID); m != 8_000 {
+		t.Fatalf("charged = %d", m)
+	}
+	if ct := cp.Counts(); ct.EERs != 1 {
+		t.Fatalf("CPlane holds %d EERs", ct.EERs)
 	}
 	// EERs live 16 s; advance past expiry and tick.
 	f.clock.Store(t0 + reservation.EERLifetimeSeconds + 1)
 	transit.Tick()
-	r, _ = transit.Store().GetSegR(up.ID)
-	if r.AllocatedEERKbps != 0 {
-		t.Errorf("allocated after expiry = %d", r.AllocatedEERKbps)
+	if m, _ := cp.SegDemandMax(up.ID); m != 0 {
+		t.Errorf("charged after expiry = %d", m)
+	}
+	if ct := cp.Counts(); ct.EERs != 0 {
+		t.Errorf("CPlane holds %d EERs after expiry", ct.EERs)
 	}
 	// Advance past SegR expiry: SegRs vanish and admission state empties.
 	f.clock.Store(t0 + reservation.SegRLifetimeSeconds + 1)
 	transit.Tick()
-	segs, eers := transit.Store().Counts()
-	if segs != 0 || eers != 0 {
-		t.Errorf("counts after SegR expiry: %d, %d", segs, eers)
+	if segs := transit.Store().Len(); segs != 0 {
+		t.Errorf("store keeps %d SegRs after expiry", segs)
 	}
-	if transit.Admission().Len() != 0 {
-		t.Errorf("admission still tracks %d reservations", transit.Admission().Len())
+	if ct := cp.Counts(); ct.SegRs != 0 || ct.EERs != 0 {
+		t.Errorf("admission still tracks %d SegRs, %d EERs", ct.SegRs, ct.EERs)
 	}
 }
 
@@ -591,7 +632,7 @@ func BenchmarkSegRHandleAtLastHop(b *testing.B) {
 		if i > 0 && i%batch == 0 {
 			b.StopTimer()
 			for _, id := range ids {
-				last.Admission().Release(id)
+				last.CPlane().AbortSegR(id)
 				last.Store().DeleteSegR(id)
 			}
 			mkBatch(i / batch)

@@ -17,99 +17,87 @@ import (
 // downstream link is dead: the transfer AS admits into the split, then the
 // forward call fails and the item rolls back. Repeated failed waves must not
 // accumulate demand — once the link heals, every renewal must still be
-// granted in full. Runs in both admission modes, which share the handlers.
+// granted in full. The subtest names the CPlane admission path.
 func TestTransferSplitRollbackRelease(t *testing.T) {
-	for _, mode := range []struct {
-		name   string
-		shards int
-	}{{"legacy", 0}, {"cplane", 1}} {
-		t.Run(mode.name, func(t *testing.T) {
-			gate := &gateTransport{}
-			f := twoISDFabric(t, func(iaKey topology.IA, cfg *Config) {
-				cfg.CPlaneShards = mode.shards
-				if iaKey == ia(1, 1) {
-					gate.inner = cfg.Transport
-					cfg.Transport = gate
-				}
-			})
-			f.setupAllSegRs(t, 50_000)
-			src := f.services[ia(1, 11)]
-			var grants []*EERGrant
-			for i := uint32(0); i < 5; i++ {
-				g, err := src.RequestEER(100+i, 200+i, ia(2, 11), 8_000)
-				if err != nil {
-					t.Fatalf("setup %d: %v", i, err)
-				}
-				grants = append(grants, g)
-			}
-			// Five renewal waves against a dead transfer-AS downstream link:
-			// each item is admitted into the split at hop 1-1, then rolled
-			// back when the forward call fails.
-			gate.fail.Store(true)
-			for wave := uint32(1); wave <= 5; wave++ {
-				f.clock.Store(t0 + wave)
-				for i, g := range grants {
-					if _, err := src.RenewEER(g, 8_000); err == nil {
-						t.Fatalf("wave %d item %d renewed through a dead link", wave, i)
-					}
-				}
-			}
-			// Healed: the failed waves must have left no residue, so every
-			// flow renews at its full bandwidth (40 of 50 Mbps committed —
-			// no contention, nothing may be shaved or refused).
-			gate.fail.Store(false)
-			f.clock.Store(t0 + 6)
-			for i, g := range grants {
-				ng, err := src.RenewEER(g, 8_000)
-				if err != nil {
-					t.Fatalf("item %d after heal: %v", i, err)
-				}
-				if bw := grantBw(ng); bw != 8_000 {
-					t.Fatalf("item %d after heal: granted %d kbps, want 8000", i, bw)
-				}
+	t.Run("cplane", func(t *testing.T) {
+		gate := &gateTransport{}
+		f := twoISDFabric(t, func(iaKey topology.IA, cfg *Config) {
+			if iaKey == ia(1, 1) {
+				gate.inner = cfg.Transport
+				cfg.Transport = gate
 			}
 		})
-	}
+		f.setupAllSegRs(t, 50_000)
+		src := f.services[ia(1, 11)]
+		var grants []*EERGrant
+		for i := uint32(0); i < 5; i++ {
+			g, err := src.RequestEER(100+i, 200+i, ia(2, 11), 8_000)
+			if err != nil {
+				t.Fatalf("setup %d: %v", i, err)
+			}
+			grants = append(grants, g)
+		}
+		// Five renewal waves against a dead transfer-AS downstream link:
+		// each item is admitted into the split at hop 1-1, then rolled
+		// back when the forward call fails.
+		gate.fail.Store(true)
+		for wave := uint32(1); wave <= 5; wave++ {
+			f.clock.Store(t0 + wave)
+			for i, g := range grants {
+				if _, err := src.RenewEER(g, 8_000); err == nil {
+					t.Fatalf("wave %d item %d renewed through a dead link", wave, i)
+				}
+			}
+		}
+		// Healed: the failed waves must have left no residue, so every
+		// flow renews at its full bandwidth (40 of 50 Mbps committed —
+		// no contention, nothing may be shaved or refused).
+		gate.fail.Store(false)
+		f.clock.Store(t0 + 6)
+		for i, g := range grants {
+			ng, err := src.RenewEER(g, 8_000)
+			if err != nil {
+				t.Fatalf("item %d after heal: %v", i, err)
+			}
+			if bw := grantBw(ng); bw != 8_000 {
+				t.Fatalf("item %d after heal: granted %d kbps, want 8000", i, bw)
+			}
+		}
+	})
 }
 
 // TestTransferSplitRenewalRelease runs many constant-bandwidth keep-alive
 // waves at 80% utilization: each committed renewal must return the replaced
 // version's split charge, or demand doubles on the first wave and the
-// fair-share cap starts shaving grants on the second.
+// fair-share cap starts shaving grants on the second. The subtest names
+// the CPlane admission path.
 func TestTransferSplitRenewalRelease(t *testing.T) {
-	for _, mode := range []struct {
-		name   string
-		shards int
-	}{{"legacy", 0}, {"cplane", 1}} {
-		t.Run(mode.name, func(t *testing.T) {
-			f := twoISDFabric(t, func(_ topology.IA, cfg *Config) {
-				cfg.CPlaneShards = mode.shards
-			})
-			f.setupAllSegRs(t, 50_000)
-			src := f.services[ia(1, 11)]
-			var grants []*EERGrant
-			for i := uint32(0); i < 5; i++ {
-				g, err := src.RequestEER(100+i, 200+i, ia(2, 11), 8_000)
+	t.Run("cplane", func(t *testing.T) {
+		f := twoISDFabric(t, nil)
+		f.setupAllSegRs(t, 50_000)
+		src := f.services[ia(1, 11)]
+		var grants []*EERGrant
+		for i := uint32(0); i < 5; i++ {
+			g, err := src.RequestEER(100+i, 200+i, ia(2, 11), 8_000)
+			if err != nil {
+				t.Fatalf("setup %d: %v", i, err)
+			}
+			grants = append(grants, g)
+		}
+		for wave := uint32(1); wave <= 10; wave++ {
+			f.clock.Store(t0 + wave)
+			for i, g := range grants {
+				ng, err := src.RenewEER(g, 8_000)
 				if err != nil {
-					t.Fatalf("setup %d: %v", i, err)
+					t.Fatalf("wave %d item %d: %v", wave, i, err)
 				}
-				grants = append(grants, g)
-			}
-			for wave := uint32(1); wave <= 10; wave++ {
-				f.clock.Store(t0 + wave)
-				for i, g := range grants {
-					ng, err := src.RenewEER(g, 8_000)
-					if err != nil {
-						t.Fatalf("wave %d item %d: %v", wave, i, err)
-					}
-					if bw := grantBw(ng); bw != 8_000 {
-						t.Fatalf("wave %d item %d: granted %d kbps, want 8000", wave, i, bw)
-					}
-					grants[i] = ng
+				if bw := grantBw(ng); bw != 8_000 {
+					t.Fatalf("wave %d item %d: granted %d kbps, want 8000", wave, i, bw)
 				}
+				grants[i] = ng
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestTransferSplitExpiryRelease lets a fleet of EERs expire without renewal

@@ -241,11 +241,7 @@ func stormOverAdmitted(net *core.Network, topo *topology.Topology) bool {
 		for _, segr := range net.Node(owner).CServ.Store().InitiatedSegRs() {
 			for _, ia := range topo.SortedIAs() {
 				svc := net.Node(ia).CServ
-				cp := svc.CPlane()
-				if cp == nil {
-					continue
-				}
-				m, ok := cp.SegDemandMax(segr.ID)
+				m, ok := svc.CPlane().SegDemandMax(segr.ID)
 				if !ok {
 					continue
 				}

@@ -9,21 +9,16 @@ import (
 	"colibri/internal/topology"
 )
 
-// Store is one AS's reservation database. It is safe for concurrent use and
-// maintains the EER-over-SegR bandwidth accounting that transit-AS admission
-// checks (§4.7). In the paper this is "a transactional database" inside the
+// Store is one AS's SegR database: versions, pending activations, tokens,
+// and the idempotency state the setup handlers dedup against. It is safe for
+// concurrent use. In the paper this is "a transactional database" inside the
 // CServ; here the setup flow's reserve-then-confirm/rollback discipline is
 // provided by the SegR lifecycle methods.
 type Store struct {
 	mu     sync.RWMutex
 	local  topology.IA
 	segs   map[ID]*SegR
-	eers   map[ID]*EER
 	nextID uint32
-
-	// contrib tracks, per EER, the bandwidth currently charged against its
-	// underlying SegRs, so version changes adjust by delta.
-	contrib map[ID]uint64
 }
 
 // Store errors.
@@ -32,17 +27,11 @@ var (
 	ErrExists         = errors.New("reservation: already exists")
 	ErrNoPending      = errors.New("reservation: no pending version")
 	ErrOverAllocation = errors.New("reservation: activation would over-allocate EER bandwidth")
-	ErrInsufficient   = errors.New("reservation: insufficient bandwidth in segment reservation")
 )
 
 // NewStore builds an empty store for the given AS.
 func NewStore(local topology.IA) *Store {
-	return &Store{
-		local:   local,
-		segs:    make(map[ID]*SegR),
-		eers:    make(map[ID]*EER),
-		contrib: make(map[ID]uint64),
-	}
+	return &Store{local: local, segs: make(map[ID]*SegR)}
 }
 
 // Local returns the owning AS.
@@ -152,127 +141,22 @@ func (s *Store) ActivatePending(id ID) error {
 	return nil
 }
 
-// AdmitEERVersion checks available bandwidth on the given local SegRs and,
-// if sufficient, records the version and charges the bandwidth delta against
-// each SegR. This is the transit-AS admission of §4.7 plus the accounting
-// that all versions of one EER share a single budget (the max over valid
-// versions). eer describes the record to create on first sight of the ID.
-func (s *Store) AdmitEERVersion(eer *EER, segIDs []ID, v Version, now uint32) error {
+// SetAllocatedEERKbps publishes the EER bandwidth the admission engine
+// charges to a SegR at this AS into its AllocatedEERKbps view. Unknown SegRs
+// are ignored (the record may have been cleaned up concurrently).
+func (s *Store) SetAllocatedEERKbps(id ID, kbps uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-
-	existing, ok := s.eers[eer.ID]
-	if !ok {
-		existing = eer
-		existing.Versions = nil
+	if r, ok := s.segs[id]; ok {
+		r.AllocatedEERKbps = kbps
 	}
-	oldContrib := s.contrib[eer.ID]
-	// The new contribution if this version is admitted.
-	newMax := oldContrib
-	if v.BwKbps > newMax {
-		newMax = v.BwKbps
-	}
-	delta := newMax - oldContrib
-	if delta > 0 {
-		segs := make([]*SegR, 0, len(segIDs))
-		for _, sid := range segIDs {
-			sr, ok := s.segs[sid]
-			if !ok {
-				return fmt.Errorf("%w: SegR %s", ErrNotFound, sid)
-			}
-			if sr.Active.Expired(now) {
-				return fmt.Errorf("%w: SegR %s expired", ErrNotFound, sid)
-			}
-			if sr.AvailableEERKbps() < delta {
-				return fmt.Errorf("%w: SegR %s has %d kbps free, need %d",
-					ErrInsufficient, sid, sr.AvailableEERKbps(), delta)
-			}
-			segs = append(segs, sr)
-		}
-		for _, sr := range segs {
-			sr.AllocatedEERKbps += delta
-		}
-	}
-	if err := existing.AddVersion(v); err != nil {
-		// Undo the charge on duplicate version numbers.
-		if delta > 0 {
-			for _, sid := range segIDs {
-				if sr, ok := s.segs[sid]; ok {
-					sr.AllocatedEERKbps -= delta
-				}
-			}
-		}
-		return err
-	}
-	if !ok {
-		existing.SegIDs = append([]ID(nil), segIDs...)
-		s.eers[eer.ID] = existing
-	}
-	s.contrib[eer.ID] = newMax
-	return nil
 }
 
-// LiveVersion returns the EER's most recent live version — the highest
-// version number whose expiry is still in the future. The handlers use it
-// to identify the version a renewal replaces, identically to the CPlane's
-// single-record LookupEER, so the transfer-split accounting stays in step
-// across both admission modes.
-func (s *Store) LiveVersion(id ID, now uint32) (bwKbps uint64, ver uint16, expT uint32, ok bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	e, found := s.eers[id]
-	if !found {
-		return 0, 0, 0, false
-	}
-	for i := len(e.Versions) - 1; i >= 0; i-- {
-		if v := e.Versions[i]; v.ExpT > now {
-			return v.BwKbps, v.Ver, v.ExpT, true
-		}
-	}
-	return 0, 0, 0, false
-}
-
-// GetEER returns the EER record, or ErrNotFound.
-func (s *Store) GetEER(id ID) (*EER, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	e, ok := s.eers[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: EER %s", ErrNotFound, id)
-	}
-	return e, nil
-}
-
-// Cleanup removes expired reservations: EER versions past their expiry
-// (releasing SegR bandwidth), EERs with no versions left, and SegRs whose
-// active and pending versions are both expired. It returns the IDs of
-// removed SegRs so the caller can release admission-state aggregates.
+// Cleanup removes SegRs whose active and pending versions are both expired
+// and returns their IDs so the caller can release admission state.
 func (s *Store) Cleanup(now uint32) (removedSegRs []ID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, id := range sortedIDs(s.eers) {
-		e := s.eers[id]
-		alive := e.DropExpired(now)
-		newMax := e.MaxBwKbps(now)
-		old := s.contrib[id]
-		if newMax < old {
-			delta := old - newMax
-			for _, sid := range e.SegIDs {
-				if sr, ok := s.segs[sid]; ok {
-					if sr.AllocatedEERKbps >= delta {
-						sr.AllocatedEERKbps -= delta
-					} else {
-						sr.AllocatedEERKbps = 0
-					}
-				}
-			}
-			s.contrib[id] = newMax
-		}
-		if !alive {
-			delete(s.eers, id)
-			delete(s.contrib, id)
-		}
-	}
 	for _, id := range sortedIDs(s.segs) {
 		r := s.segs[id]
 		activeDead := r.Active.Expired(now)
@@ -318,9 +202,9 @@ func sortedIDs[V any](m map[ID]V) []ID {
 	return ids
 }
 
-// Counts returns the number of stored SegRs and EERs.
-func (s *Store) Counts() (segRs, eers int) {
+// Len returns the number of stored SegRs.
+func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.segs), len(s.eers)
+	return len(s.segs)
 }

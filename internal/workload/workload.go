@@ -10,6 +10,7 @@ import (
 
 	"colibri/internal/admission"
 	"colibri/internal/cryptoutil"
+	"colibri/internal/cserv"
 	"colibri/internal/gateway"
 	"colibri/internal/packet"
 	"colibri/internal/reservation"
@@ -61,35 +62,42 @@ func PopulateSegRs(st *admission.State, n int, ratio float64, srcMain topology.I
 	return nil
 }
 
-// EERPopulation is the Fig. 4 fixture: a reservation store holding s SegRs
-// from one source (the paper's parameter s) and n EERs admitted over the
-// first SegR.
-func EERPopulation(s, n int) (*reservation.Store, reservation.ID, error) {
-	store := reservation.NewStore(topology.MustIA(1, 1))
-	var first reservation.ID
+// EERPopulation is the Fig. 4 fixture: the CPlane of a transit AS (with
+// the TransitAS shape, two interfaces) holding s SegRs from one source (the
+// paper's parameter s) and n 1 kbps EERs admitted over the first SegR. The
+// CPlane's clock stands at Epoch.
+func EERPopulation(s, n int) (*cserv.CPlane, reservation.ID, error) {
+	as, _ := TransitAS(2, 1<<40)
+	cp, err := cserv.NewCPlane(cserv.CPlaneConfig{
+		AS:    as,
+		Split: admission.DefaultSplit,
+		Clock: func() uint32 { return Epoch },
+	})
+	if err != nil {
+		return nil, reservation.ID{}, err
+	}
+	src := topology.MustIA(1, 8)
+	first := reservation.ID{SrcAS: src, Num: 1}
 	for i := 0; i < s; i++ {
-		id := store.NextID()
-		if i == 0 {
-			first = id
+		req := admission.Request{
+			ID:      reservation.ID{SrcAS: src, Num: uint32(i + 1)},
+			Src:     src,
+			In:      1,
+			Eg:      2,
+			MaxKbps: 1 << 30,
+			ExpT:    Epoch + reservation.SegRLifetimeSeconds,
 		}
-		segr := &reservation.SegR{
-			ID:     id,
-			In:     1,
-			Eg:     2,
-			Active: reservation.Version{Ver: 1, BwKbps: 1 << 40, ExpT: Epoch + 300},
-		}
-		if err := store.AddSegR(segr); err != nil {
+		if _, err := cp.AddSegR(req); err != nil {
 			return nil, first, err
 		}
 	}
 	for i := 0; i < n; i++ {
-		eer := &reservation.EER{ID: reservation.ID{SrcAS: topology.MustIA(1, 9), Num: uint32(i + 1)}}
-		v := reservation.Version{Ver: 1, BwKbps: 1, ExpT: Epoch + reservation.EERLifetimeSeconds}
-		if err := store.AdmitEERVersion(eer, []reservation.ID{first}, v, Epoch); err != nil {
+		eer := reservation.ID{SrcAS: topology.MustIA(1, 9), Num: uint32(i + 1)}
+		if err := cp.SetupEER(eer, first, 1, Epoch+reservation.EERLifetimeSeconds); err != nil {
 			return nil, first, err
 		}
 	}
-	return store, first, nil
+	return cp, first, nil
 }
 
 // GatewayPopulation is the Figs. 5–6 fixture: a gateway of srcAS preloaded

@@ -31,20 +31,15 @@ func TestPopulateSegRsRatio(t *testing.T) {
 }
 
 func TestEERPopulation(t *testing.T) {
-	store, segID, err := EERPopulation(5, 100)
+	cp, segID, err := EERPopulation(5, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	segs, eers := store.Counts()
-	if segs != 5 || eers != 100 {
-		t.Errorf("counts: %d SegRs, %d EERs", segs, eers)
+	if ct := cp.Counts(); ct.SegRs != 5 || ct.EERs != 100 {
+		t.Errorf("counts: %d SegRs, %d EERs", ct.SegRs, ct.EERs)
 	}
-	sr, err := store.GetSegR(segID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sr.AllocatedEERKbps != 100 {
-		t.Errorf("allocated = %d", sr.AllocatedEERKbps)
+	if m, ok := cp.SegDemandMax(segID); !ok || m != 100 {
+		t.Errorf("demand on first SegR = %d (known %v), want 100", m, ok)
 	}
 }
 
